@@ -23,8 +23,7 @@
 #include "BenchUtils.h"
 #include "benchmarks/Suite.h"
 #include "frontend/MiniC.h"
-#include "ir/IDs.h"
-#include "noelle/MemDepProfiler.h"
+#include "noelle/Profiler.h"
 #include "planner/Planner.h"
 #include "runtime/ParallelRuntime.h"
 #include "telemetry/Telemetry.h"
@@ -89,8 +88,7 @@ RunResult runPlanner(const bench::Benchmark &B, int64_t Expected,
   nir::Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, B.Source);
   if (Speculate) {
-    nir::assignDeterministicIDs(*M);
-    profileMemDeps(*M).embed(*M);
+    Profiler::profileModule(*M, /*ObserveDependences=*/true).embed(*M);
   }
   Noelle N(*M);
   planner::PlannerOptions PO;

@@ -1,8 +1,20 @@
 #include "ir/IDs.h"
 
+#include <charconv>
 #include <string>
 
 using namespace nir;
+
+namespace {
+
+/// Parses a decimal ID; false unless \p S is all digits and fits.
+bool parseID(const std::string &S, uint64_t &Out) {
+  const char *End = S.data() + S.size();
+  auto [Ptr, Ec] = std::from_chars(S.data(), End, Out);
+  return !S.empty() && Ec == std::errc() && Ptr == End;
+}
+
+} // namespace
 
 void nir::assignDeterministicIDs(Module &M) {
   uint64_t FnID = 0, BBID = 0, InstID = 0;
@@ -32,9 +44,14 @@ std::map<uint64_t, Instruction *> nir::buildInstructionIndex(Module &M) {
   for (const auto &F : M.getFunctions())
     for (const auto &BB : F->getBlocks())
       for (const auto &I : BB->getInstList()) {
-        std::string ID = I->getMetadata(InstIDKey);
-        if (!ID.empty())
-          Index[std::stoull(ID)] = I.get();
+        uint64_t ID = 0;
+        if (parseID(I->getMetadata(InstIDKey), ID))
+          Index[ID] = I.get();
       }
   return Index;
+}
+
+uint64_t nir::instructionID(const Instruction *I) {
+  uint64_t ID = 0;
+  return parseID(I->getMetadata(InstIDKey), ID) ? ID : 0;
 }

@@ -31,8 +31,13 @@ void assignDeterministicIDs(Module &M);
 void clearDeterministicIDs(Module &M);
 
 /// Index from instruction ID to instruction for a module whose IDs were
-/// previously assigned. Instructions without IDs are skipped.
+/// previously assigned. Instructions without (well-formed) IDs are
+/// skipped.
 std::map<uint64_t, Instruction *> buildInstructionIndex(Module &M);
+
+/// The deterministic ID of \p I, or 0 when it carries none or a
+/// malformed one.
+uint64_t instructionID(const Instruction *I);
 
 } // namespace nir
 

@@ -1,184 +1,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// LAMP-style memory-dependence + loop-trip profiler. An interpreter
-/// observer shadows every byte of memory with its last reader/writer and
-/// a global access clock; a dependence that crosses an iteration
-/// boundary of an active loop is recorded as a *manifested* loop-carried
-/// dependence of that loop, keyed entirely by deterministic instruction
-/// IDs (ir/IDs.h) so the record survives printing and parsing.
-///
-/// The resulting MemDepProfile is the evidence base for speculative
-/// DOALL: a PDG loop-carried memory edge whose endpoint pair was never
-/// observed to manifest for the loop may be speculated away, with the
-/// runtime write-log/commit protocol (runtime/ParallelRuntime.h) as the
-/// safety net. Profiles are serialized as content-hash-keyed module
-/// metadata (noelle.memdep.v1) alongside the embedded PDG, so they
-/// survive the cache and travel with the module text.
-///
-/// Wire format (deterministic; round trips byte-identically):
-///
-///   memdep v1
-///   hash <16 hex digits>
-///   loop header=<id> invocations=<n> iterations=<n>
-///   dep header=<id> src=<id> dst=<id> kind=<raw|war|waw>
+/// The two dependence-profile entry points the wall-clock benchmark
+/// (perfbench/perfbench.cpp) calls. Both forward to the one profiler in
+/// noelle/Profiler.h, which every in-tree caller uses directly.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef NOELLE_MEMDEPPROFILER_H
 #define NOELLE_MEMDEPPROFILER_H
 
-#include "analysis/LoopInfo.h"
-#include "interp/Interpreter.h"
-#include "ir/Module.h"
-
-#include <cstdint>
-#include <map>
-#include <set>
-#include <string>
-#include <unordered_map>
-#include <vector>
+#include "noelle/Profiler.h"
 
 namespace noelle {
 
-/// Module metadata key the profile is embedded under.
-inline constexpr const char *MemDepEmbedKey = "noelle.memdep.v1";
-
-/// A manifested loop-carried memory dependence: during one invocation of
-/// the loop identified by \p HeaderID, the access \p DstID touched a
-/// byte last touched (conflictingly) by \p SrcID in an earlier
-/// iteration.
-struct ManifestedDep {
-  uint64_t HeaderID = 0; ///< ID of the loop header's first instruction
-  uint64_t SrcID = 0;    ///< earlier access
-  uint64_t DstID = 0;    ///< later access
-  enum Kind : uint8_t { RAW = 0, WAR = 1, WAW = 2 } K = RAW;
-
-  bool operator<(const ManifestedDep &O) const {
-    return std::tie(HeaderID, SrcID, DstID, K) <
-           std::tie(O.HeaderID, O.SrcID, O.DstID, O.K);
-  }
-  bool operator==(const ManifestedDep &O) const {
-    return HeaderID == O.HeaderID && SrcID == O.SrcID && DstID == O.DstID &&
-           K == O.K;
-  }
+struct MemDepProfile {
+  /// ProfileData::hasEmbeddedDependences.
+  static bool isEmbedded(nir::Module &M);
 };
 
-/// The collected profile: which loops ran (trip statistics) and which
-/// loop-carried memory dependences ever manifested.
-class MemDepProfile {
-public:
-  /// True when loop \p HeaderID was entered at least once in the
-  /// profiled run — the planner's evidence gate: loops the profile never
-  /// observed carry no "absence of dependences" evidence at all.
-  bool coversLoop(uint64_t HeaderID) const {
-    auto It = Loops.find(HeaderID);
-    return It != Loops.end() && It->second.Invocations > 0;
-  }
-
-  uint64_t loopInvocations(uint64_t HeaderID) const {
-    auto It = Loops.find(HeaderID);
-    return It == Loops.end() ? 0 : It->second.Invocations;
-  }
-  uint64_t loopIterations(uint64_t HeaderID) const {
-    auto It = Loops.find(HeaderID);
-    return It == Loops.end() ? 0 : It->second.Iterations;
-  }
-
-  /// True when any carried dependence between the unordered instruction
-  /// pair {A, B} manifested for loop \p HeaderID (any direction, any
-  /// kind). The speculation legality query: an edge whose pair is absent
-  /// never manifested.
-  bool manifested(uint64_t HeaderID, uint64_t A, uint64_t B) const {
-    return Pairs.count(key(HeaderID, A, B)) != 0;
-  }
-
-  const std::set<ManifestedDep> &deps() const { return Deps; }
-  bool empty() const { return Loops.empty() && Deps.empty(); }
-
-  /// Hash of the module the profile is bound to (0 = unbound).
-  uint64_t moduleHash() const { return ModuleHash; }
-
-  std::string serialize() const;
-  static bool deserialize(const std::string &Text, MemDepProfile &Out,
-                          std::string &Err);
-
-  /// Stores the profile as module metadata, stamped with \p M's content
-  /// hash. The hash is metadata-agnostic, so embedding neither
-  /// invalidates the PDG cache nor the profile's own binding. Profiles
-  /// are keyed by instruction IDs, so a profile collected on one module
-  /// may be embedded into any module with identical structure (equal
-  /// content hash modulo metadata — e.g. a re-parsed copy).
-  void embed(nir::Module &M);
-
-  /// Loads an embedded profile; fails when absent, malformed, or (with
-  /// \p RequireHashMatch) bound to a different content hash. Pass false
-  /// only when an outer protocol already pins staleness — the planner's
-  /// apply path does: the plan's own hash was checked against the
-  /// pristine module, and entries applied earlier in the same plan
-  /// legitimately change the hash before a speculative entry loads the
-  /// profile.
-  static bool fromModule(nir::Module &M, MemDepProfile &Out,
-                         std::string &Err, bool RequireHashMatch = true);
-
-  static void clean(nir::Module &M);
-  static bool isEmbedded(const nir::Module &M);
-
-  void recordLoopEntry(uint64_t HeaderID) { ++Loops[HeaderID].Invocations; }
-  void recordLoopIteration(uint64_t HeaderID) {
-    ++Loops[HeaderID].Iterations;
-  }
-  void recordDep(const ManifestedDep &D) {
-    if (Deps.insert(D).second)
-      Pairs.insert(key(D.HeaderID, D.SrcID, D.DstID));
-  }
-
-private:
-  static std::tuple<uint64_t, uint64_t, uint64_t>
-  key(uint64_t H, uint64_t A, uint64_t B) {
-    return A <= B ? std::make_tuple(H, A, B) : std::make_tuple(H, B, A);
-  }
-
-  struct LoopStats {
-    uint64_t Invocations = 0;
-    uint64_t Iterations = 0;
-  };
-  std::map<uint64_t, LoopStats> Loops;
-  std::set<ManifestedDep> Deps;
-  std::set<std::tuple<uint64_t, uint64_t, uint64_t>> Pairs;
-  uint64_t ModuleHash = 0;
-};
-
-/// The observer. Installs byte-granular shadow memory (last reader and
-/// writer with access timestamps) and a dynamic loop-activation stack
-/// maintained from block events, so each access can be tested against
-/// the iteration windows of every active loop. Single-threaded by
-/// design: profiling runs happen before parallelization.
-class MemDepProfiler : public nir::ExecutionObserver {
-public:
-  /// \p M must carry deterministic instruction IDs (ir/IDs.h).
-  explicit MemDepProfiler(nir::Module &M);
-  ~MemDepProfiler() override;
-
-  void onBlockExecuted(const nir::BasicBlock *BB) override;
-  void onCallExecuted(const nir::CallInst *Call,
-                      const nir::Function *Callee) override;
-  void onLoadExecuted(const nir::Instruction *I, uint64_t Addr,
-                      unsigned Bytes) override;
-  void onStoreExecuted(const nir::Instruction *I, uint64_t Addr,
-                       unsigned Bytes) override;
-
-  MemDepProfile takeProfile();
-
-private:
-  struct Impl;
-  std::unique_ptr<Impl> P;
-};
-
-/// Runs @main of \p M under the observer and returns the profile.
-/// Assigns deterministic IDs first when the module carries none (the
-/// same assignment captureForCheck/pdgEmbed would produce).
-MemDepProfile profileMemDeps(nir::Module &M);
+/// Profiler::profileModule(M, /*ObserveDependences=*/true).
+ProfileData profileMemDeps(nir::Module &M);
 
 } // namespace noelle
 

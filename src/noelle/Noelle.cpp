@@ -133,8 +133,12 @@ ProfileData *Noelle::getProfiles(bool CollectIfMissing) {
   Requested.insert(Abstraction::PRO);
   if (!ProfilesLoaded) {
     ProfilesLoaded = true;
-    if (ProfileData::isEmbedded(M))
-      Profiles = std::make_unique<ProfileData>(ProfileData::fromMetadata(M));
+    // A malformed or stale embedded profile counts as missing; the tools
+    // reject one at their input boundary.
+    ProfileData Embedded;
+    std::string Err;
+    if (ProfileData::fromModule(M, Embedded, Err))
+      Profiles = std::make_unique<ProfileData>(std::move(Embedded));
   }
   if (!Profiles && CollectIfMissing)
     Profiles = std::make_unique<ProfileData>(Profiler::profileModule(M));

@@ -100,9 +100,11 @@ public:
   /// The data-flow engine (Table 1: DFE).
   DataFlowEngine &getDataFlowEngine();
 
-  /// Embedded or freshly collected profiles (Table 1: PRO). Returns null
-  /// if the module has no embedded profile and \p CollectIfMissing is
-  /// false.
+  /// Embedded or freshly collected profiles (Table 1: PRO), loaded once:
+  /// the first call pins the embedded profile while its content hash
+  /// still matches, so later transforms do not orphan it. A collected
+  /// profile is coverage-only. Returns null if the module has no valid
+  /// embedded profile and \p CollectIfMissing is false.
   ProfileData *getProfiles(bool CollectIfMissing = false);
 
   /// Architecture description (Table 1: AR).

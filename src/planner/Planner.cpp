@@ -1,7 +1,6 @@
 #include "planner/Planner.h"
 
 #include "ir/IDs.h"
-#include "noelle/MemDepProfiler.h"
 #include "verify/CheckMetadata.h"
 #include "xforms/DOALL.h"
 #include "xforms/DSWP.h"
@@ -10,7 +9,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <map>
 #include <set>
 
@@ -24,16 +22,9 @@ bool isTaskFunction(const nir::Function &F) {
 }
 
 /// The plan's loop identity: the deterministic ID of the header's first
-/// instruction. False when the module carries no IDs.
-bool headerInstID(const nir::LoopStructure &LS, uint64_t &Out) {
-  const auto &Insts = LS.getHeader()->getInstList();
-  if (Insts.empty())
-    return false;
-  std::string ID = Insts.front()->getMetadata(nir::InstIDKey);
-  if (ID.empty())
-    return false;
-  Out = std::strtoull(ID.c_str(), nullptr, 10);
-  return true;
+/// instruction (0 when the module carries no IDs).
+uint64_t headerInstID(const nir::LoopStructure &LS) {
+  return nir::instructionID(LS.getHeader()->front());
 }
 
 bool moduleHasInstIDs(const nir::Module &M) {
@@ -98,6 +89,10 @@ ProgramPlan Planner::plan() {
     nir::assignDeterministicIDs(M);
 
   ProfileData *Prof = getProfiles();
+  // Speculation evidence is the embedded profile, even when the cost
+  // model plans from static defaults.
+  ProfileData *Evidence =
+      Opts.EnableSpeculation ? N.getProfiles(false) : nullptr;
 
   std::vector<std::unique_ptr<ParallelizationTechnique>> Techniques;
   Techniques.push_back(makeTechnique(TechniqueKind::DOALL));
@@ -105,17 +100,6 @@ ProgramPlan Planner::plan() {
   Techniques.push_back(makeTechnique(TechniqueKind::DSWP));
   if (Opts.EnableSpeculation)
     Techniques.push_back(makeTechnique(TechniqueKind::SpecDOALL));
-
-  // The memory-dependence profile backs the misspeculation-probability
-  // term of speculative candidates: a loop observed across many
-  // invocations without the dependence manifesting earns a lower
-  // modeled rollback charge (rule of succession, 1/(n+2)).
-  MemDepProfile MemDep;
-  bool HasMemDep = false;
-  if (Opts.EnableSpeculation) {
-    std::string MemDepErr;
-    HasMemDep = MemDepProfile::fromModule(M, MemDep, MemDepErr);
-  }
 
   ProgramPlan P;
   P.ModuleHash = M.getContentHash();
@@ -155,8 +139,8 @@ ProgramPlan Planner::plan() {
         continue;
       if (C.Cost.speedup() < Opts.MinimumSpeedup)
         continue;
-      uint64_t HID = 0;
-      if (!headerInstID(LS, HID))
+      uint64_t HID = headerInstID(LS);
+      if (!HID)
         continue;
       PlanEntry E;
       E.FunctionName = LS.getFunction()->getName();
@@ -181,15 +165,20 @@ ProgramPlan Planner::plan() {
         continue;
     }
 
-    uint64_t HID = 0;
-    if (!headerInstID(LS, HID))
+    uint64_t HID = headerInstID(LS);
+    if (!HID)
       continue;
 
     CostQuery Q = Model.queryFor(*LC, Prof);
+    // A dependence-observing profile backs the misspeculation-probability
+    // term of speculative candidates: a loop observed across many
+    // invocations without the dependence manifesting earns a lower
+    // modeled rollback charge (rule of succession, 1/(n+2)).
     double SpecProb = 0.0;
-    if (HasMemDep && MemDep.coversLoop(HID))
+    if (Evidence && Evidence->observedDependences() &&
+        Evidence->getBlockCount(LS.getHeader()) > 0)
       SpecProb =
-          1.0 / static_cast<double>(MemDep.loopInvocations(HID) + 2);
+          1.0 / static_cast<double>(Evidence->getLoopInvocations(LS) + 2);
 
     bool Any = false;
     PlanChoice Best;
@@ -249,8 +238,8 @@ LoopContent *findPlannedLoop(Noelle &N, const PlanEntry &E) {
       continue;
     if (LS.getFunction()->getName() != E.FunctionName)
       continue;
-    uint64_t HID = 0;
-    if (headerInstID(LS, HID) && HID == E.HeaderInstID)
+    uint64_t HID = headerInstID(LS);
+    if (HID && HID == E.HeaderInstID)
       return LC;
   }
   return nullptr;
@@ -319,6 +308,15 @@ std::vector<Decision> Planner::apply(const ProgramPlan &P) {
     }
     return Decisions;
   }
+
+  // Speculative entries read the embedded profile, bound to the
+  // pristine module's content hash: pin it before the first entry
+  // rewrites the module.
+  for (const PlanEntry &E : P.Entries)
+    if (E.Kind == TechniqueKind::SpecDOALL) {
+      N.getProfiles(false);
+      break;
+    }
 
   std::vector<bool> Applied(P.Entries.size(), false);
   for (size_t I = 0; I < P.Entries.size(); ++I) {

@@ -43,12 +43,12 @@ struct PlannerOptions {
   bool UseProfiles = true;
   /// Consider DOALL on loops nested inside a planned DSWP stage.
   bool EnableNested = true;
-  /// Enumerate speculative DOALL on loops the embedded memory-
-  /// dependence profile (noelle.memdep.v1) covers. Off by default:
-  /// speculation changes the failure model (misspeculation triggers a
-  /// sequential re-execution), so drivers opt in explicitly
+  /// Enumerate speculative DOALL on loops the embedded profile
+  /// (noelle.profile.v1) covers. Off by default: speculation changes
+  /// the failure model (misspeculation triggers a sequential
+  /// re-execution), so drivers opt in explicitly
   /// (`noelle-parallelize --speculate`). Without an embedded profile
-  /// the candidate set is empty regardless.
+  /// that observed dependences the candidate set is empty regardless.
   bool EnableSpeculation = false;
   /// DSWP inter-stage queue capacity.
   unsigned QueueCapacity = 128;

@@ -6,8 +6,6 @@
 #include "runtime/ParallelRuntime.h"
 #include "verify/CheckMetadata.h"
 
-#include <cstdlib>
-
 using namespace noelle;
 using nir::BasicBlock;
 using nir::CallInst;
@@ -21,54 +19,37 @@ using nir::Type;
 
 namespace {
 
-/// Deterministic ID of \p I (ir/IDs.h metadata), or 0 when absent.
-uint64_t idOf(const Instruction *I) {
-  std::string S = I->getMetadata(nir::InstIDKey);
-  if (S.empty())
-    return 0;
-  return std::strtoull(S.c_str(), nullptr, 10);
-}
-
 /// The profile's loop key: the ID of the header's first instruction
 /// (the same convention the profiler and task provenance use).
 uint64_t headerIdOf(nir::LoopStructure &LS) {
-  if (LS.getHeader()->getInstList().empty())
-    return 0;
-  return idOf(LS.getHeader()->getInstList().front().get());
+  return nir::instructionID(LS.getHeader()->front());
 }
 
 } // namespace
-
-bool SpecDOALL::loadProfile() {
-  if (!ProfileLoaded) {
-    ProfileLoaded = true;
-    std::string Err;
-    // Lenient hash: by the time a speculative entry of a plan applies,
-    // earlier entries may have rewritten the module, so its content hash
-    // no longer matches the profile's binding. Staleness is pinned one
-    // level up — Planner::apply verified the plan hash against the
-    // pristine module before mutating anything.
-    ProfileValid = MemDepProfile::fromModule(N.getModule(), Profile, Err,
-                                             /*RequireHashMatch=*/false);
-  }
-  return ProfileValid;
-}
 
 Legality SpecDOALL::applicable(LoopContent &LC) {
   Legality L;
   nir::LoopStructure &LS = LC.getLoopStructure();
 
-  if (!loadProfile()) {
-    L.Reason = "no memory-dependence profile embedded in the module";
+  // The profile Noelle loaded before any transform: by the time a
+  // speculative plan entry applies, earlier entries may have rewritten
+  // the module, so it is never (re)loaded against the current hash.
+  ProfileData *Prof = N.getProfiles(false);
+  if (!Prof) {
+    L.Reason = "no profile embedded in the module";
     return L;
   }
-  uint64_t H = headerIdOf(LS);
-  if (!H) {
+  if (!Prof->observedDependences()) {
+    L.Reason = "the profile is coverage-only: it observed no memory "
+               "dependences, so their absence is no evidence";
+    return L;
+  }
+  if (!headerIdOf(LS)) {
     L.Reason = "loop carries no deterministic IDs (run captureForCheck "
                "or pdgEmbed first)";
     return L;
   }
-  if (!Profile.coversLoop(H)) {
+  if (!Prof->getBlockCount(LS.getHeader())) {
     L.Reason = "profile never observed this loop (no absence evidence)";
     return L;
   }
@@ -126,12 +107,13 @@ bool SpecDOALL::mayIgnoreCarriedDep(LoopContent &LC, const PDG::EdgeT &E,
   auto *To = nir::dyn_cast<Instruction>(E.To);
   if (!From || !To)
     return false;
+  // applicable() admitted the loop under a dependence-observing profile
+  // that saw it run.
+  ProfileData *Prof = N.getProfiles(false);
   uint64_t H = headerIdOf(LC.getLoopStructure());
-  uint64_t A = idOf(From);
-  uint64_t B = idOf(To);
-  if (!H || !A || !B)
-    return false;
-  if (!Profile.coversLoop(H) || Profile.manifested(H, A, B))
+  uint64_t A = nir::instructionID(From);
+  uint64_t B = nir::instructionID(To);
+  if (!Prof || !H || !A || !B || Prof->manifested(H, A, B))
     return false;
   L.SpecPremises.push_back({A, B});
   return true;

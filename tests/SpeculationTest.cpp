@@ -2,10 +2,13 @@
 ///
 /// \file
 /// spec-suite: the profile-guided speculative DOALL pipeline end to end.
-/// Covers the memory-dependence profiler (manifested-dependence
-/// recording, iteration-boundary precision, wire round-trip, content-hash
-/// binding), the SpecDOALL transform with the write-log/commit runtime
-/// (commit path and seeded-misspeculation rollback), the planner's
+/// Covers the profiler's dependence tracking (manifested-dependence
+/// recording, iteration-boundary precision, loop trips), the one
+/// profile format (wire round trip, content-hash binding, malformed
+/// blobs, exit 2 at the tools' input boundary, coverage-only profiles
+/// as no evidence, one profiling run per compile), the SpecDOALL
+/// transform with the write-log/commit runtime (commit path and
+/// seeded-misspeculation rollback), the planner's
 /// speculative enumeration over a real suite kernel, and the
 /// `noelle-check --speculative` audits — including that each audit
 /// catches a deliberately seeded violation. Registered under the ctest
@@ -17,7 +20,7 @@
 #include "frontend/MiniC.h"
 #include "ir/IDs.h"
 #include "ir/IRBuilder.h"
-#include "noelle/MemDepProfiler.h"
+#include "ir/Parser.h"
 #include "noelle/Noelle.h"
 #include "planner/Planner.h"
 #include "runtime/ParallelRuntime.h"
@@ -29,8 +32,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -40,31 +50,24 @@ using nir::ExecutionEngine;
 
 namespace {
 
-uint64_t idOf(const nir::Value *V) {
-  std::string S = V->getMetadata(nir::InstIDKey);
-  uint64_t N = 0;
-  for (char C : S)
-    N = N * 10 + static_cast<uint64_t>(C - '0');
-  return S.empty() ? 0 : N;
-}
-
-/// Header IDs (first instruction of each loop header) of every natural
-/// loop in \p M, sorted ascending — deterministic IDs follow program
-/// order, so source order is recoverable from the sort.
-std::vector<uint64_t> sortedLoopHeaderIDs(nir::Module &M) {
-  std::vector<uint64_t> IDs;
-  Noelle N(M);
-  for (LoopContent *LC : N.getLoopContents()) {
-    auto &Insts = LC->getLoopStructure().getHeader()->getInstList();
-    if (!Insts.empty())
-      IDs.push_back(idOf(Insts.front().get()));
-  }
-  std::sort(IDs.begin(), IDs.end());
-  return IDs;
+/// The loops \p N finds, sorted by header ID — deterministic IDs follow
+/// program order, so source order is recoverable from the sort.
+std::vector<nir::LoopStructure *> loopsInSourceOrder(Noelle &N) {
+  std::vector<nir::LoopStructure *> Loops;
+  for (LoopContent *LC : N.getLoopContents())
+    Loops.push_back(&LC->getLoopStructure());
+  auto headerID = [](const nir::LoopStructure *LS) {
+    return nir::instructionID(LS->getHeader()->front());
+  };
+  std::sort(Loops.begin(), Loops.end(),
+            [&](const nir::LoopStructure *A, const nir::LoopStructure *B) {
+              return headerID(A) < headerID(B);
+            });
+  return Loops;
 }
 
 // ---------------------------------------------------------------------------
-// Memory-dependence profiler.
+// Dependence-observing profiler.
 // ---------------------------------------------------------------------------
 
 /// Three loops: a disjoint store map (no carried dependence), a true
@@ -90,16 +93,22 @@ const char *ProfilerSrc = R"(
 TEST(MemDepProfilerTest, RecordsOnlyTrueCarriedDependences) {
   Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, ProfilerSrc);
-  nir::assignDeterministicIDs(*M);
+  ProfileData P = Profiler::profileModule(*M, /*ObserveDependences=*/true);
+  ASSERT_TRUE(P.observedDependences());
 
-  MemDepProfile P = profileMemDeps(*M);
-  std::vector<uint64_t> Headers = sortedLoopHeaderIDs(*M);
-  ASSERT_EQ(Headers.size(), 3u);
-
-  for (uint64_t H : Headers) {
-    EXPECT_TRUE(P.coversLoop(H)) << "loop " << H << " not observed";
-    EXPECT_EQ(P.loopInvocations(H), 1u);
-    EXPECT_GT(P.loopIterations(H), 0u);
+  Noelle N(*M);
+  std::vector<nir::LoopStructure *> Loops = loopsInSourceOrder(N);
+  ASSERT_EQ(Loops.size(), 3u);
+  std::vector<uint64_t> Headers;
+  for (nir::LoopStructure *LS : Loops) {
+    uint64_t H = nir::instructionID(LS->getHeader()->front());
+    Headers.push_back(H);
+    EXPECT_GT(P.getBlockCount(LS->getHeader()), 0u)
+        << "loop " << H << " not observed";
+    EXPECT_EQ(P.getLoopInvocations(*LS), 1u);
+    // Header executions beyond the invocation's first: the back-edge
+    // iterations.
+    EXPECT_GT(P.getLoopTotalIterations(*LS), P.getLoopInvocations(*LS));
   }
 
   // Every manifested dependence belongs to the recurrence loop (source
@@ -117,38 +126,104 @@ TEST(MemDepProfilerTest, RecordsOnlyTrueCarriedDependences) {
 TEST(MemDepProfilerTest, SerializationRoundTripsByteIdentically) {
   Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, ProfilerSrc);
-  nir::assignDeterministicIDs(*M);
-  MemDepProfile P = profileMemDeps(*M);
+  ProfileData P = Profiler::profileModule(*M, /*ObserveDependences=*/true);
 
-  std::string Text = P.serialize();
-  MemDepProfile Q;
+  std::string Text = P.serialize(*M);
+  ProfileData Q;
   std::string Err;
-  ASSERT_TRUE(MemDepProfile::deserialize(Text, Q, Err)) << Err;
-  EXPECT_EQ(Q.serialize(), Text);
+  ASSERT_TRUE(ProfileData::deserialize(Text, *M, Q, Err)) << Err;
+  EXPECT_EQ(Q.serialize(*M), Text);
   EXPECT_EQ(Q.deps().size(), P.deps().size());
+
+  // Embedded, printed and re-parsed: the same text binds to the copy.
+  P.embed(*M);
+  Context Ctx2;
+  auto M2 = nir::parseModuleOrDie(Ctx2, M->str());
+  ProfileData R;
+  ASSERT_TRUE(ProfileData::fromModule(*M2, R, Err)) << Err;
+  EXPECT_EQ(R.serialize(*M2), Text);
+  EXPECT_EQ(R.getTotalInstructions(), P.getTotalInstructions());
 }
 
 TEST(MemDepProfilerTest, EmbeddedProfileBindsToContentHash) {
   Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, ProfilerSrc);
-  nir::assignDeterministicIDs(*M);
-  profileMemDeps(*M).embed(*M);
-  ASSERT_TRUE(MemDepProfile::isEmbedded(*M));
+  Profiler::profileModule(*M, /*ObserveDependences=*/true).embed(*M);
+  ASSERT_TRUE(ProfileData::hasEmbeddedDependences(*M));
 
-  MemDepProfile P;
+  ProfileData P;
   std::string Err;
-  EXPECT_TRUE(MemDepProfile::fromModule(*M, P, Err)) << Err;
+  EXPECT_TRUE(ProfileData::fromModule(*M, P, Err)) << Err;
 
   // Change the module's content (an initializer participates in the
-  // hash): the strict load must refuse the now-stale binding, while the
-  // lenient load — for callers whose outer protocol pins staleness —
-  // still parses it.
+  // hash): the load must refuse the now-stale binding.
   M->getGlobal("a")->setInitWords({7});
-  MemDepProfile Stale;
-  EXPECT_FALSE(MemDepProfile::fromModule(*M, Stale, Err));
-  EXPECT_TRUE(MemDepProfile::fromModule(*M, Stale, Err,
-                                        /*RequireHashMatch=*/false))
-      << Err;
+  ProfileData Stale;
+  EXPECT_FALSE(ProfileData::fromModule(*M, Stale, Err));
+  EXPECT_NE(Err.find("content hash"), std::string::npos) << Err;
+  EXPECT_FALSE(ProfileData::hasEmbeddedDependences(*M));
+}
+
+/// Every malformed number, record or header is an error, never a throw.
+TEST(UnifiedProfileTest, MalformedBlobsAreRejected) {
+  Context Ctx;
+  auto M = minic::compileMiniCOrDie(Ctx, ProfilerSrc);
+  Profiler::profileModule(*M, /*ObserveDependences=*/true).embed(*M);
+  const std::string Good = M->getModuleMetadata(ProfileEmbedKey);
+  const size_t Total = Good.find("total ");
+  ASSERT_NE(Total, std::string::npos);
+  const size_t Records = Good.find('\n', Total) + 1;
+
+  const std::vector<std::string> Bad = {
+      "",
+      "profile v2\n" + Good.substr(Good.find('\n') + 1),
+      Good.substr(0, Total) + "total zz\n" + Good.substr(Records),
+      Good.substr(0, Total) + "total 99999999999999999999999\n" +
+          Good.substr(Records),
+      Good.substr(0, Total) + Good.substr(Records), // no total line
+      Good + "block 5\n",
+      Good + "block 999999 1\n",
+      Good + "branch 0 1 -1\n",
+      Good + "call no_such_fn 1\n",
+      Good + "dep 1 2 3 rar\n",
+      Good + "bogus 1 2\n",
+      Good + "total 5\n", // header kind outside the header
+  };
+  for (const std::string &Text : Bad) {
+    M->setModuleMetadata(ProfileEmbedKey, Text);
+    ProfileData P;
+    std::string Err;
+    EXPECT_FALSE(ProfileData::fromModule(*M, P, Err)) << Text;
+    EXPECT_FALSE(Err.empty()) << Text;
+  }
+}
+
+/// The whole `--speculate` compile path on a fresh module — profile and
+/// embed, snapshot, Noelle's profile lookup, planning — executes @main
+/// under the observed interpreter tier exactly once.
+TEST(UnifiedProfileTest, SpeculativeCompilePathProfilesOnce) {
+  const bench::Benchmark *B = bench::findBenchmark("x264");
+  ASSERT_NE(B, nullptr);
+  telemetry::setMode(telemetry::Mode::Metrics);
+  telemetry::resetMetrics();
+
+  Context Ctx;
+  auto M = minic::compileMiniCOrDie(Ctx, B->Source);
+  Profiler::profileModule(*M, /*ObserveDependences=*/true).embed(*M);
+  verify::PreTransformSnapshot Snap = verify::captureForCheck(*M);
+  Noelle N(*M);
+  ProfileData *Prof = N.getProfiles(/*CollectIfMissing=*/true);
+  planner::PlannerOptions PO;
+  PO.EnableSpeculation = true;
+  planner::ProgramPlan Plan = planner::Planner(N, PO).plan();
+
+  uint64_t Observed = telemetry::snapshotMetrics().counter(
+      telemetry::Counter::TierObserved);
+  telemetry::setMode(telemetry::Mode::Off);
+  ASSERT_NE(Prof, nullptr);
+  EXPECT_TRUE(Prof->observedDependences());
+  EXPECT_FALSE(Plan.Entries.empty());
+  EXPECT_EQ(Observed, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -208,7 +283,7 @@ struct SpecModule {
 SpecModule buildSeededSpec(Context &Ctx) {
   SpecModule R;
   R.M = minic::compileMiniCOrDie(Ctx, SeededSrc);
-  profileMemDeps(*R.M).embed(*R.M);
+  Profiler::profileModule(*R.M, /*ObserveDependences=*/true).embed(*R.M);
   R.Snap = verify::captureForCheck(*R.M);
   Noelle N(*R.M);
   SpecDOALL Tool(N);
@@ -301,8 +376,7 @@ TEST(SpeculationTest, PlannerSpeculatesX264AndPreservesResult) {
 
   Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, B->Source);
-  nir::assignDeterministicIDs(*M);
-  profileMemDeps(*M).embed(*M);
+  Profiler::profileModule(*M, /*ObserveDependences=*/true).embed(*M);
 
   Noelle N(*M);
   planner::PlannerOptions PO;
@@ -421,6 +495,107 @@ TEST(SpecCheckTest, CleanSpecModulePassesSpeculativeAudit) {
   ASSERT_GE(S.SpecLoops, 1u);
   verify::CheckReport Rep = speculativeAudit(S);
   EXPECT_TRUE(Rep.clean()) << Rep.str();
+}
+
+// ---------------------------------------------------------------------------
+// The profile at the tools' input boundary.
+// ---------------------------------------------------------------------------
+
+/// A path for a scratch file of this test process.
+std::string tempPath(const std::string &Name) {
+  return (std::filesystem::temp_directory_path() /
+          ("noelle-spec-" + std::to_string(::getpid()) + "-" + Name))
+      .string();
+}
+
+struct ToolRun {
+  int Status = -1; ///< exit status; -1 when the tool did not exit
+  std::string Out; ///< stdout and stderr
+};
+
+/// Runs \p Tool with \p Args on \p M, printed to a .nir file.
+ToolRun runTool(const char *Tool, const std::string &Args,
+                const nir::Module &M) {
+  const std::string In = tempPath("in.nir"), Out = tempPath("out.txt");
+  {
+    std::ofstream F(In);
+    F << M.str();
+  }
+  int Raw = std::system((std::string(Tool) + " " + Args + " " + In + " > " +
+                         Out + " 2>&1")
+                            .c_str());
+  ToolRun R;
+  if (WIFEXITED(Raw))
+    R.Status = WEXITSTATUS(Raw);
+  std::ifstream F(Out);
+  R.Out.assign(std::istreambuf_iterator<char>(F), {});
+  std::filesystem::remove(In);
+  std::filesystem::remove(Out);
+  return R;
+}
+
+/// crc with an embedded coverage profile whose blob \p Edit rewrites.
+std::unique_ptr<nir::Module>
+crcWithEditedProfile(Context &Ctx,
+                     const std::function<std::string(std::string)> &Edit) {
+  auto M = minic::compileMiniCOrDie(Ctx, bench::findBenchmark("crc")->Source);
+  Profiler::profileModule(*M).embed(*M);
+  M->setModuleMetadata(ProfileEmbedKey,
+                       Edit(M->getModuleMetadata(ProfileEmbedKey)));
+  return M;
+}
+
+TEST(UnifiedProfileTest, MalformedProfileExitsTwo) {
+  Context Ctx;
+  auto M = crcWithEditedProfile(Ctx, [](std::string Blob) {
+    size_t T = Blob.find("total ");
+    return Blob.replace(T, Blob.find('\n', T) - T, "total zz");
+  });
+  ToolRun P = runTool(NOELLE_PARALLELIZE_BIN, "--run", *M);
+  EXPECT_EQ(P.Status, 2) << P.Out;
+  EXPECT_NE(P.Out.find("total zz"), std::string::npos) << P.Out;
+  ToolRun C = runTool(NOELLE_CHECK_BIN, "", *M);
+  EXPECT_EQ(C.Status, 2) << C.Out;
+}
+
+TEST(UnifiedProfileTest, ProfileOfAnotherModuleExitsTwo) {
+  Context Ctx;
+  auto M = crcWithEditedProfile(Ctx, [](std::string Blob) {
+    size_t H = Blob.find("hash ") + 5;
+    return Blob.replace(H, 16, "0123456789abcdef");
+  });
+  ToolRun P = runTool(NOELLE_PARALLELIZE_BIN, "--run", *M);
+  EXPECT_EQ(P.Status, 2) << P.Out;
+  EXPECT_NE(P.Out.find("content hash"), std::string::npos) << P.Out;
+  ToolRun C = runTool(NOELLE_CHECK_BIN, "--speculative", *M);
+  EXPECT_EQ(C.Status, 2) << C.Out;
+}
+
+/// A coverage-only profile says nothing about dependences: SpecDOALL
+/// refuses it as evidence, and `--speculate` re-profiles with
+/// dependence tracking instead of planning from it.
+TEST(UnifiedProfileTest, CoverageOnlyProfileIsNoSpeculationEvidence) {
+  Context Ctx;
+  auto M = minic::compileMiniCOrDie(Ctx,
+                                    bench::findBenchmark("x264")->Source);
+  Profiler::profileModule(*M).embed(*M);
+  ASSERT_TRUE(ProfileData::isEmbedded(*M));
+  EXPECT_FALSE(ProfileData::hasEmbeddedDependences(*M));
+  {
+    Noelle N(*M);
+    SpecDOALL T(N);
+    ASSERT_FALSE(N.getLoopContents().empty());
+    for (LoopContent *LC : N.getLoopContents()) {
+      Legality L = T.applicable(*LC);
+      EXPECT_FALSE(L);
+      EXPECT_NE(L.Reason.find("coverage-only"), std::string::npos)
+          << L.Reason;
+    }
+  }
+
+  ToolRun R = runTool(NOELLE_PARALLELIZE_BIN, "--speculate --plan-only", *M);
+  EXPECT_EQ(R.Status, 0) << R.Out;
+  EXPECT_NE(R.Out.find("kind=spec-doall"), std::string::npos) << R.Out;
 }
 
 } // namespace

@@ -53,7 +53,8 @@ TEST(ToolsTest, ProfileEmbedRoundTrip) {
   // Print + reparse: the profile must survive.
   auto M2 = nir::parseModuleOrDie(Ctx, M->str());
   EXPECT_TRUE(ProfileData::isEmbedded(*M2));
-  auto P2 = ProfileData::fromMetadata(*M2);
+  ProfileData P2;
+  ASSERT_TRUE(ProfileData::fromModule(*M2, P2, Error)) << Error;
   EXPECT_EQ(P2.getTotalInstructions(), P.getTotalInstructions());
 }
 

@@ -12,8 +12,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "frontend/MiniC.h"
-#include "ir/IDs.h"
-#include "noelle/MemDepProfiler.h"
 #include "noelle/Noelle.h"
 #include "planner/Planner.h"
 #include "runtime/ParallelRuntime.h"
@@ -68,8 +66,7 @@ int main() {
   // profitability call.
   Context Ctx;
   auto M = minic::compileMiniCOrDie(Ctx, Src);
-  nir::assignDeterministicIDs(*M);
-  profileMemDeps(*M).embed(*M);
+  Profiler::profileModule(*M, /*ObserveDependences=*/true).embed(*M);
 
   Noelle N(*M);
   planner::PlannerOptions PO;

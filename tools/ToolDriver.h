@@ -16,6 +16,7 @@
 #include "benchmarks/Suite.h"
 #include "frontend/MiniC.h"
 #include "ir/Parser.h"
+#include "noelle/Profiler.h"
 #include "planner/Plan.h"
 #include "telemetry/Telemetry.h"
 
@@ -33,28 +34,6 @@ namespace tooldriver {
 inline void listKernels() {
   for (const auto &B : bench::getBenchmarkSuite())
     std::printf("%-24s %s\n", B.Name.c_str(), B.Suite.c_str());
-}
-
-/// Resolves \p Input to MiniC source: benchmark kernel by name first,
-/// readable file second. Errors print under \p Tool's name.
-inline bool resolveSource(const char *Tool, const std::string &Input,
-                          std::string &Source) {
-  if (const bench::Benchmark *B = bench::findBenchmark(Input)) {
-    Source = B->Source;
-    return true;
-  }
-  std::ifstream In(Input);
-  if (!In) {
-    std::fprintf(stderr,
-                 "%s: '%s' is neither a benchmark kernel nor a "
-                 "readable file (try --list)\n",
-                 Tool, Input.c_str());
-    return false;
-  }
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  Source = SS.str();
-  return true;
 }
 
 /// Materializes \p Input as a module: a benchmark kernel or MiniC file
@@ -85,6 +64,28 @@ loadInputModule(const char *Tool, nir::Context &Ctx,
     std::fprintf(stderr, "%s: %s: %s\n", Tool, Input.c_str(),
                  Error.c_str());
   return M;
+}
+
+/// Input-boundary check of the profile embedded in \p M, if any: a
+/// malformed noelle.profile.v1 blob, or one bound to another module's
+/// content hash, is an input error (exit 2), never an abort. Returns
+/// false after printing a diagnostic under \p Tool's name.
+inline bool checkEmbeddedProfile(const char *Tool, nir::Module &M) {
+  ProfileData P;
+  std::string Err;
+  if (!ProfileData::isEmbedded(M) || ProfileData::fromModule(M, P, Err))
+    return true;
+  std::fprintf(stderr, "%s: embedded profile rejected: %s\n", Tool,
+               Err.c_str());
+  return false;
+}
+
+/// Speculation needs a profile that observed dependences: profiles \p M
+/// with dependence tracking and embeds the result unless \p M already
+/// carries a valid one. A coverage-only profile does not count.
+inline void ensureDependenceProfile(nir::Module &M) {
+  if (!ProfileData::hasEmbeddedDependences(M))
+    Profiler::profileModule(M, /*ObserveDependences=*/true).embed(M);
 }
 
 /// Matches "--key=" options carrying an unsigned value; returns false

@@ -5,12 +5,12 @@
 /// race detector (command-line driver).
 ///
 /// Usage:
-///   noelle-check [options] <kernel-name | minic-file>
+///   noelle-check [options] <kernel-name | minic-file | nir-file>
 ///
-/// The input is compiled (a benchmark-suite kernel by name, or a MiniC
-/// source file), a pre-transform snapshot is captured (IR text plus the
-/// embedded PDG cache), the requested parallelizing transforms run, and
-/// the transformed module is checked:
+/// The input is materialized (a benchmark-suite kernel by name, a MiniC
+/// source file, or parsed .nir text), a pre-transform snapshot is
+/// captured (IR text plus the embedded PDG cache), the requested
+/// parallelizing transforms run, and the transformed module is checked:
 ///   - structural + dominance SSA verification (nir::verifyModule);
 ///   - legality: every loop-carried dependence of the original loop must
 ///     be discharged by a legal mechanism of the transform that claimed
@@ -60,14 +60,13 @@
 ///   --list                             list benchmark kernels and exit
 ///
 /// Exit status: 0 when every requested check is clean, 1 when any
-/// diagnostic was produced, 2 on usage/compile errors.
+/// diagnostic was produced, 2 on usage/compile errors or a malformed or
+/// stale embedded profile.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "ToolDriver.h"
 
-#include "frontend/MiniC.h"
-#include "noelle/MemDepProfiler.h"
 #include "noelle/Noelle.h"
 #include "opt/Passes.h"
 #include "planner/Planner.h"
@@ -80,8 +79,7 @@
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -111,7 +109,7 @@ void printUsage() {
                "[--speculative] [--cores=N] [--opt] [--lint] [--no-races] "
                "[--race-rules=LIST] [--stats] [--metrics=F] "
                "[--no-legality] [--plan] [--plan-file=F] "
-               "[--list] <kernel-name | minic-file>\n");
+               "[--list] <kernel-name | minic-file | nir-file>\n");
 }
 
 /// Parses the --race-rules value: "all", "legacy", "none", or a comma
@@ -250,26 +248,35 @@ bool parseArgs(int Argc, char **Argv, CLIOptions &Opts) {
   return true;
 }
 
+/// Materializes the input afresh for one audit (a kernel or MiniC file
+/// compiles, a .nir file parses), checks its embedded profile, and
+/// optimizes it when asked. Null after a diagnostic on input errors.
+std::unique_ptr<nir::Module> loadInput(nir::Context &Ctx,
+                                       const CLIOptions &Opts) {
+  auto M = tooldriver::loadInputModule("noelle-check", Ctx, Opts.Input);
+  if (!M || !tooldriver::checkEmbeddedProfile("noelle-check", *M))
+    return nullptr;
+  if (Opts.Optimize)
+    opt::runPipeline(*M);
+  return M;
+}
+
 /// Plan-audit mode: computes (or loads) a plan for the module and
 /// verifies it — hash binding, entry well-formedness, loop existence,
 /// and per-entry technique legality — without transforming anything.
-unsigned checkPlanMode(const std::string &Source, const CLIOptions &Opts) {
+/// Returns the number of diagnostics; nullopt on input errors.
+std::optional<unsigned> checkPlanMode(const CLIOptions &Opts) {
   nir::Context Ctx;
-  std::string Error;
-  auto M = minic::compileMiniC(Ctx, Source, Error);
-  if (!M) {
-    std::fprintf(stderr, "noelle-check: compile error: %s\n", Error.c_str());
-    return 1;
-  }
-  if (Opts.Optimize)
-    opt::runPipeline(*M);
+  auto M = loadInput(Ctx, Opts);
+  if (!M)
+    return std::nullopt;
 
   // Speculative plan entries need the profile both to be enumerated and
   // to re-derive their premises during the audit. Embedding is hash-
   // neutral (the content hash is metadata-agnostic), so a --plan-file's
   // hash binding still holds.
   if (Opts.Speculative)
-    profileMemDeps(*M).embed(*M);
+    tooldriver::ensureDependenceProfile(*M);
 
   planner::ProgramPlan Plan;
   if (!Opts.PlanFile.empty()) {
@@ -295,28 +302,22 @@ unsigned checkPlanMode(const std::string &Source, const CLIOptions &Opts) {
   return static_cast<unsigned>(Rep.diagnostics().size());
 }
 
-/// Compiles, transforms, and checks one (source, transform) pair.
-/// Returns the number of diagnostics.
-unsigned checkOne(const std::string &Source, const std::string &Transform,
-                  const CLIOptions &Opts) {
+/// Loads, transforms, and checks the input under one transform. With
+/// --opt the pipeline runs first, so the parallelizers (and the legality
+/// snapshot) see the optimized loops — the production order. Returns the
+/// number of diagnostics; nullopt on input errors.
+std::optional<unsigned> checkOne(const std::string &Transform,
+                                 const CLIOptions &Opts) {
   nir::Context Ctx;
-  std::string Error;
-  auto M = minic::compileMiniC(Ctx, Source, Error);
-  if (!M) {
-    std::fprintf(stderr, "noelle-check: compile error: %s\n", Error.c_str());
-    return 1;
-  }
-
-  // With --opt the pipeline runs first, so the parallelizers (and the
-  // legality snapshot) see the optimized loops — the production order.
-  if (Opts.Optimize)
-    opt::runPipeline(*M);
+  auto M = loadInput(Ctx, Opts);
+  if (!M)
+    return std::nullopt;
 
   // Speculation needs its evidence base before the snapshot: profile the
-  // original module and embed the result, so both the snapshot text and
-  // the transformed module carry it.
+  // original module and embed the result, so the snapshot text carries
+  // it.
   if (Transform == "spec")
-    profileMemDeps(*M).embed(*M);
+    tooldriver::ensureDependenceProfile(*M);
 
   verify::PreTransformSnapshot Snap = verify::captureForCheck(*M);
 
@@ -399,16 +400,20 @@ int main(int Argc, char **Argv) {
   if (!parseArgs(Argc, Argv, Opts))
     return 2;
 
-  std::string Source;
-  if (!tooldriver::resolveSource("noelle-check", Opts.Input, Source))
-    return 2;
-
   unsigned Findings = 0;
-  if (Opts.PlanMode)
-    Findings = checkPlanMode(Source, Opts);
-  else
-    for (const std::string &T : Opts.Transforms)
-      Findings += checkOne(Source, T, Opts);
+  if (Opts.PlanMode) {
+    std::optional<unsigned> F = checkPlanMode(Opts);
+    if (!F)
+      return 2;
+    Findings = *F;
+  } else {
+    for (const std::string &T : Opts.Transforms) {
+      std::optional<unsigned> F = checkOne(T, Opts);
+      if (!F)
+        return 2;
+      Findings += *F;
+    }
+  }
 
   if (Findings == 0)
     std::printf("noelle-check: clean\n");

@@ -15,9 +15,10 @@
 /// Options:
 ///   --cores=N            worker-count search ceiling (4)
 ///   --speculate          let the planner consider profile-guided
-///                        speculative DOALL: a memory-dependence profile
-///                        is collected (by running main()) and embedded
-///                        when the module carries none, speculative
+///                        speculative DOALL: a dependence-observing
+///                        profile is collected (by running main()) and
+///                        embedded when the module carries none (a
+///                        coverage-only one does not count), speculative
 ///                        candidates join the enumeration, and the
 ///                        post-transform audit includes the
 ///                        --speculative checks
@@ -43,7 +44,7 @@
 ///   --list               list benchmark kernels and exit
 ///
 /// Exit status: 0 clean, 1 when any audit finding or failed plan entry,
-/// 2 on usage/compile errors.
+/// 2 on usage/compile errors or a malformed or stale embedded profile.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,7 +52,6 @@
 
 #include "interp/Interpreter.h"
 #include "ir/Verifier.h"
-#include "noelle/MemDepProfiler.h"
 #include "noelle/Noelle.h"
 #include "opt/Passes.h"
 #include "planner/Feedback.h"
@@ -212,18 +212,18 @@ int main(int Argc, char **Argv) {
 
   nir::Context Ctx;
   auto M = tooldriver::loadInputModule("noelle-parallelize", Ctx, O.Input);
-  if (!M)
+  if (!M || !tooldriver::checkEmbeddedProfile("noelle-parallelize", *M))
     return 2;
   if (O.Optimize)
     opt::runPipeline(*M);
 
   // Speculation (planner enumeration or a forced spec-doall sweep) needs
-  // the memory-dependence profile. Collect and embed it before the
+  // a profile that observed dependences. Collect and embed it before the
   // snapshot: embedding is hash-neutral, and the IDs it is keyed by are
   // the same ones captureForCheck assigns.
   bool WantSpec = O.Speculate || O.ForcedTechnique == "spec-doall";
-  if (WantSpec && !MemDepProfile::isEmbedded(*M))
-    profileMemDeps(*M).embed(*M);
+  if (WantSpec)
+    tooldriver::ensureDependenceProfile(*M);
 
   // Snapshot before anything mutates code: the audit's ground truth,
   // and the source of the deterministic IDs plans are keyed by.
