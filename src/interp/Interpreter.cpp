@@ -50,7 +50,14 @@ FrameRegistry &frameRegistry() {
   return R;
 }
 
+/// Instructions retired by this thread since the last
+/// resetThreadRetired(); externals read it mid-run.
 thread_local uint64_t ThreadRetired = 0;
+
+/// The part of ThreadRetired's growth that the innermost execute() entry
+/// on this thread has not yet added to its engine's total. Keeping it
+/// thread-local keeps every flush off the shared counter's cache line.
+thread_local uint64_t ThreadUnpublished = 0;
 
 } // namespace
 
@@ -1333,18 +1340,33 @@ ExecutionEngine::execute(DecodedFunction &DF,
   // onBlockExecuted/onBranchExecuted fire in program order. Tier entries
   // are counted here (top-level entries only: recursion stays inside one
   // tier's loop), so transitions between tiers show up in the metrics.
+  //
+  // This is also the one place the engine-wide retired total grows:
+  // the loops flush into thread-local counters only, and the entry adds
+  // its own count once on return. A nested entry on this thread (the
+  // rollback re-execution inside noelle_dispatch_spec) sets the
+  // enclosing entry's unpublished count aside and restores it, so each
+  // instruction is published exactly once.
+  const uint64_t Enclosing = ThreadUnpublished;
+  ThreadUnpublished = 0;
+  RuntimeValue Result;
   if (Observer) {
     telemetry::count(telemetry::Counter::TierObserved);
-    return execObserved(DF, Args, Depth);
+    Result = execObserved(DF, Args, Depth);
   }
 #ifdef NOELLE_INTERP_HAVE_CGOTO
-  if (Opts.Dispatch != DispatchMode::Switch) {
+  else if (Opts.Dispatch != DispatchMode::Switch) {
     telemetry::count(telemetry::Counter::TierThreaded);
-    return execThreaded(DF, Args, Depth);
+    Result = execThreaded(DF, Args, Depth);
   }
 #endif
-  telemetry::count(telemetry::Counter::TierSwitch);
-  return execSwitch(DF, Args, Depth);
+  else {
+    telemetry::count(telemetry::Counter::TierSwitch);
+    Result = execSwitch(DF, Args, Depth);
+  }
+  InstructionsRetired.fetch_add(ThreadUnpublished, std::memory_order_relaxed);
+  ThreadUnpublished = Enclosing;
+  return Result;
 }
 
 RuntimeValue

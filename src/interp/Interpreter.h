@@ -97,9 +97,10 @@ using ExternalFn =
     std::function<RuntimeValue(ExecutionEngine &, const CallInst *,
                                const std::vector<RuntimeValue> &)>;
 
-/// Per-parallel-region accounting used by the performance model (the
-/// evaluation host may have a single core, so Figure-5 speedups are
-/// computed from per-task instruction counts rather than wall clock).
+/// Per-parallel-region accounting used by the performance model:
+/// Figure-5 speedups are modeled from per-task instruction counts, which
+/// are deterministic, rather than from wall clock, which varies with
+/// core count and load.
 struct DispatchRecord {
   uint64_t NumTasks = 0;
   uint64_t MaxTaskInstructions = 0;   ///< critical path of the region
@@ -187,6 +188,9 @@ public:
   void setObserver(ExecutionObserver *O) { Observer = O; }
 
   /// Total instructions retired across all threads since construction.
+  /// Each top-level runFunction/runPrepared adds its count when it
+  /// returns, so read this after a run, not from inside one (mid-run,
+  /// readThreadRetired() is the exact per-thread count).
   uint64_t getInstructionsExecuted() const { return InstructionsRetired; }
 
   /// Instructions retired by the calling thread (reset + read around a

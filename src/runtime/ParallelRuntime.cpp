@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -15,6 +16,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 using namespace noelle;
@@ -35,16 +37,101 @@ thread_local uint64_t ThreadSyncOps = 0;
 /// Per-logical-task write-log/read-set journal backing speculative
 /// DOALL. Speculative task clones route every (non-task-private) load
 /// and store through the noelle_spec_* externals; stores are deferred
-/// into Pending (byte-granular, read-your-own-writes), and the byte
+/// into page-granular write buffers (read-your-own-writes), and the byte
 /// ranges touched are accumulated for the commit-time conflict check.
 /// Ranges coalesce with the most recent entry (stride-1 access streams
 /// collapse), and are sorted/merged once at validation.
 struct SpecJournal {
-  /// Deferred writes: final value of every byte this task stored.
-  std::unordered_map<uint64_t, uint8_t> Pending;
+  static constexpr unsigned PageBits = 12;
+  static constexpr uint64_t PageSize = uint64_t(1) << PageBits;
+
+  /// Deferred writes to one PageSize-aligned window of the address
+  /// space: the final value of each byte this task stored there, and a
+  /// bit per byte saying whether it stored that byte at all.
+  struct Page {
+    uint8_t Data[PageSize];
+    uint64_t Valid[PageSize / 64] = {};
+
+    bool valid(uint64_t Off) const {
+      return Valid[Off / 64] >> (Off % 64) & 1;
+    }
+  };
+
+  std::unordered_map<uint64_t, std::unique_ptr<Page>> Pages;
+  /// One-entry cache over Pages: access streams stay on one page for
+  /// many accesses in a row.
+  uint64_t LastPageNo = UINT64_MAX;
+  Page *LastPage = nullptr;
   /// Byte ranges [lo, hi) read / written, in access order.
   std::vector<std::pair<uint64_t, uint64_t>> Reads;
   std::vector<std::pair<uint64_t, uint64_t>> Writes;
+
+  /// The write buffer for page \p PageNo, created on demand when
+  /// \p Create is set (else null if this task never wrote there).
+  Page *page(uint64_t PageNo, bool Create) {
+    if (PageNo == LastPageNo)
+      return LastPage;
+    auto It = Pages.find(PageNo);
+    Page *P = nullptr;
+    if (It != Pages.end())
+      P = It->second.get();
+    else if (Create) // default-init: Data stays unwritten, Valid clear
+      P = Pages.emplace(PageNo, std::unique_ptr<Page>(new Page))
+              .first->second.get();
+    else
+      return nullptr;
+    LastPageNo = PageNo;
+    LastPage = P;
+    return P;
+  }
+
+  /// Reads [Addr, Addr+Bytes): journaled bytes, else memory bytes.
+  void load(uint64_t Addr, unsigned Bytes, uint8_t *Out) {
+    for (unsigned I = 0; I < Bytes;) {
+      uint64_t Off = (Addr + I) & (PageSize - 1);
+      unsigned N = static_cast<unsigned>(
+          std::min<uint64_t>(Bytes - I, PageSize - Off));
+      const uint8_t *Mem = reinterpret_cast<const uint8_t *>(Addr + I);
+      if (const Page *P = page((Addr + I) >> PageBits, /*Create=*/false)) {
+        for (unsigned K = 0; K < N; ++K)
+          Out[I + K] = P->valid(Off + K) ? P->Data[Off + K] : Mem[K];
+      } else {
+        std::memcpy(Out + I, Mem, N);
+      }
+      I += N;
+    }
+  }
+
+  void store(uint64_t Addr, unsigned Bytes, const uint8_t *Src) {
+    for (unsigned I = 0; I < Bytes;) {
+      uint64_t Off = (Addr + I) & (PageSize - 1);
+      unsigned N = static_cast<unsigned>(
+          std::min<uint64_t>(Bytes - I, PageSize - Off));
+      Page *P = page((Addr + I) >> PageBits, /*Create=*/true);
+      std::memcpy(P->Data + Off, Src + I, N);
+      for (unsigned K = 0; K < N; ++K)
+        P->Valid[(Off + K) / 64] |= uint64_t(1) << ((Off + K) % 64);
+      I += N;
+    }
+  }
+
+  /// Writes exactly the journaled bytes to memory.
+  void commit() const {
+    for (const auto &[PageNo, P] : Pages) {
+      uint8_t *Base = reinterpret_cast<uint8_t *>(PageNo << PageBits);
+      for (uint64_t W = 0; W < PageSize / 64; ++W) {
+        uint64_t Bits = P->Valid[W];
+        if (Bits == ~uint64_t(0)) {
+          std::memcpy(Base + W * 64, P->Data + W * 64, 64);
+          continue;
+        }
+        for (; Bits; Bits &= Bits - 1) {
+          uint64_t Off = W * 64 + static_cast<uint64_t>(std::countr_zero(Bits));
+          Base[Off] = P->Data[Off];
+        }
+      }
+    }
+  }
 
   static void note(std::vector<std::pair<uint64_t, uint64_t>> &V,
                    uint64_t Lo, uint64_t Hi) {
@@ -73,12 +160,7 @@ void specLoadBytes(uint64_t Addr, unsigned Bytes, uint8_t *Out) {
     return;
   }
   SpecJournal::note(J->Reads, Addr, Addr + Bytes);
-  for (unsigned I = 0; I < Bytes; ++I) {
-    auto It = J->Pending.find(Addr + I);
-    Out[I] = It != J->Pending.end()
-                 ? It->second
-                 : *reinterpret_cast<const uint8_t *>(Addr + I);
-  }
+  J->load(Addr, Bytes, Out);
 }
 
 /// Defers a store of \p Bytes bytes into the current journal (or writes
@@ -90,8 +172,7 @@ void specStoreBytes(uint64_t Addr, unsigned Bytes, const uint8_t *Src) {
     return;
   }
   SpecJournal::note(J->Writes, Addr, Addr + Bytes);
-  for (unsigned I = 0; I < Bytes; ++I)
-    J->Pending[Addr + I] = Src[I];
+  J->store(Addr, Bytes, Src);
 }
 
 /// Sorts and merges a journal's range list into disjoint ascending
@@ -429,8 +510,7 @@ void noelle::registerParallelRuntime(ExecutionEngine &Engine) {
           // Commit: journals hold disjoint written bytes (no write-write
           // overlap), so replay order across tasks is immaterial.
           for (const SpecJournal &J : Journals)
-            for (const auto &KV : J.Pending)
-              *reinterpret_cast<uint8_t *>(KV.first) = KV.second;
+            J.commit();
           telemetry::count(telemetry::Counter::SpecCommits);
           if (ValT0)
             telemetry::traceSpan("spec.commit", ValT0, telemetry::nowNs(),

@@ -5,7 +5,8 @@
 /// work-stealing thread pool (worker reuse, forward progress for
 /// blocking jobs), the per-engine blocking queues under producer/
 /// consumer contention, sequential-segment gate ordering, chunked
-/// dispatch coverage, and the heap allocator's bounds check.
+/// dispatch coverage, the heap allocator's bounds check, and the
+/// retired-instruction total across DOALL, HELIX and nested DSWP runs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -370,6 +371,142 @@ TEST(RuntimeTest, HeapAllocIsRaceFreeUnderConcurrentAllocation) {
     }
   )";
   EXPECT_EQ(runWithRuntime(Src), 4);
+}
+
+//===----------------------------------------------------------------------===//
+// Retired-instruction publication
+//===----------------------------------------------------------------------===//
+
+/// Runs @main with the parallel runtime and checks that the engine total
+/// is exactly what the main thread retired plus what every dispatched
+/// task retired: flushes stay thread-local and each engine entry
+/// publishes its own count once.
+void expectRetirementAddsUp(const char *Src, int64_t Expected) {
+  Context Ctx;
+  auto M = minic::compileMiniCOrDie(Ctx, Src);
+  ExecutionEngine E(*M);
+  registerParallelRuntime(E);
+  ExecutionEngine::resetThreadRetired();
+  EXPECT_EQ(E.runMain(), Expected);
+  const uint64_t MainRetired = ExecutionEngine::readThreadRetired();
+  uint64_t TaskRetired = 0;
+  for (const auto &R : E.getDispatchRecords())
+    TaskRetired += R.TotalTaskInstructions;
+  EXPECT_GT(TaskRetired, 0u);
+  EXPECT_EQ(E.getInstructionsExecuted(), MainRetired + TaskRetired);
+}
+
+TEST(RetirementTest, DOALLTaskCallingAnExternalEveryIteration) {
+  // Every iteration leaves the interpreter for sin(), so every iteration
+  // flushes the retired count; the parallel sum must also match the
+  // sequential one.
+  const char *Src = R"(
+    extern void noelle_dispatch_chunked(void (*task)(int *, int, int),
+                                        int *env, int n, int grain);
+    int env[1];
+    double part[32];
+    void task(int *env, int t, int n) {
+      int i = t * 16;
+      double s = 0.0;
+      while (i < t * 16 + 16) {
+        s = s + sin((double)i * 0.01);
+        i = i + 1;
+      }
+      part[t] = s;
+      return;
+    }
+    int main() {
+      noelle_dispatch_chunked(task, env, 32, 2);
+      double par = 0.0;
+      double seq = 0.0;
+      int i = 0;
+      while (i < 32) { par = par + part[i]; i = i + 1; }
+      i = 0;
+      while (i < 512) { seq = seq + sin((double)i * 0.01); i = i + 1; }
+      double d = par - seq;
+      if (d < 0.0) { d = 0.0 - d; }
+      if (d > 0.000001) { return 1; }
+      return 0;
+    }
+  )";
+  expectRetirementAddsUp(Src, 0);
+}
+
+TEST(RetirementTest, HELIXSequentialSegments) {
+  const char *Src = R"(
+    extern int *noelle_ss_create(int count);
+    extern void noelle_ss_wait(int *gates, int ss, int iter);
+    extern void noelle_ss_signal(int *gates, int ss, int iter);
+    extern void noelle_dispatch(void (*task)(int *, int, int), int *env,
+                                int n);
+    int counter;
+    void task(int *gates, int t, int n) {
+      int i = t;
+      while (i < 64) {
+        noelle_ss_wait(gates, 0, i);
+        counter = counter * 3 + i;
+        noelle_ss_signal(gates, 0, i);
+        i = i + n;
+      }
+      return;
+    }
+    int main() {
+      int *gates = noelle_ss_create(1);
+      noelle_dispatch(task, gates, 4);
+      int expect = 0;
+      int i = 0;
+      while (i < 64) { expect = expect * 3 + i; i = i + 1; }
+      if (counter == expect) { return 1; }
+      return 0;
+    }
+  )";
+  expectRetirementAddsUp(Src, 1);
+}
+
+TEST(RetirementTest, DSWPStageWithNestedDOALL) {
+  // Stage 0 produces into a queue; stage 1 consumes and, per item,
+  // dispatches a DOALL from its worker thread, so inner tasks publish
+  // while the stage's own entry is still open.
+  const char *Src = R"(
+    extern int *noelle_queue_create(int capacity);
+    extern void noelle_queue_push(int *q, int v);
+    extern int noelle_queue_pop(int *q);
+    extern void noelle_dispatch(void (*task)(int *, int, int), int *env,
+                                int n);
+    extern void noelle_dispatch_chunked(void (*task)(int *, int, int),
+                                        int *env, int n, int grain);
+    int cell[1];
+    int sq[8];
+    int total;
+    void inner(int *env, int t, int n) {
+      sq[t] = env[0] * t;
+      return;
+    }
+    void stage(int *q, int t, int n) {
+      int i = 0;
+      if (t == 0) {
+        while (i < 10) { noelle_queue_push(q, i + 1); i = i + 1; }
+      } else {
+        int s = 0;
+        while (i < 10) {
+          cell[0] = noelle_queue_pop(q);
+          noelle_dispatch_chunked(inner, cell, 8, 2);
+          int k = 0;
+          while (k < 8) { s = s + sq[k]; k = k + 1; }
+          i = i + 1;
+        }
+        total = s;
+      }
+      return;
+    }
+    int main() {
+      int *q = noelle_queue_create(4);
+      noelle_dispatch(stage, q, 2);
+      return total;
+    }
+  )";
+  // sum over v = 1..10 of v * (0 + 1 + ... + 7) = 55 * 28.
+  expectRetirementAddsUp(Src, 55 * 28);
 }
 
 } // namespace

@@ -8,11 +8,12 @@
 /// blobs, exit 2 at the tools' input boundary, coverage-only profiles
 /// as no evidence, one profiling run per compile), the SpecDOALL
 /// transform with the write-log/commit runtime (commit path and
-/// seeded-misspeculation rollback), the planner's
-/// speculative enumeration over a real suite kernel, and the
-/// `noelle-check --speculative` audits — including that each audit
-/// catches a deliberately seeded violation. Registered under the ctest
-/// label "spec-suite".
+/// seeded-misspeculation rollback, the retired-instruction total on both,
+/// and the write journal's page-straddling, mixed-byte and rollback
+/// edge cases), the planner's speculative enumeration over a real suite
+/// kernel, and the `noelle-check --speculative` audits — including that
+/// each audit catches a deliberately seeded violation. Registered under
+/// the ctest label "spec-suite".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +39,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -298,6 +300,11 @@ struct SpecRun {
   std::string Out;
   uint64_t Commits = 0;
   uint64_t Misspecs = 0;
+  /// getInstructionsExecuted(), the main thread's own retired count, and
+  /// the sum of TotalTaskInstructions over every DispatchRecord.
+  uint64_t EngineRetired = 0;
+  uint64_t MainRetired = 0;
+  uint64_t TaskRetired = 0;
 };
 
 SpecRun runWithTelemetry(nir::Module &M) {
@@ -306,8 +313,13 @@ SpecRun runWithTelemetry(nir::Module &M) {
   ExecutionEngine E(M);
   registerParallelRuntime(E);
   SpecRun R;
+  ExecutionEngine::resetThreadRetired();
   R.Ret = E.runMain();
   R.Out = E.getOutput();
+  R.EngineRetired = E.getInstructionsExecuted();
+  R.MainRetired = ExecutionEngine::readThreadRetired();
+  for (const auto &D : E.getDispatchRecords())
+    R.TaskRetired += D.TotalTaskInstructions;
   auto Snap = telemetry::snapshotMetrics();
   R.Commits = Snap.counter(telemetry::Counter::SpecCommits);
   R.Misspecs = Snap.counter(telemetry::Counter::SpecMisspeculations);
@@ -355,6 +367,153 @@ TEST(SpeculationTest, SeededMisspeculationDetectsAndRollsBack) {
       << "rollback must reproduce the sequential result";
   EXPECT_EQ(R.Out, Seq.Out)
       << "rollback must reproduce the sequential output byte for byte";
+}
+
+TEST(SpeculationTest, RetiredTotalAddsUpOnCommitAndRollback) {
+  // The engine total is the main thread's count plus every task's count
+  // on both paths: on rollback the sequential clone re-executes inside
+  // noelle_dispatch_spec, a nested engine entry on the main thread.
+  for (int64_t Mode : {0, 1}) {
+    Context Ctx;
+    SpecModule S = buildSeededSpec(Ctx);
+    ASSERT_GE(S.SpecLoops, 1u);
+    S.M->getGlobal("mode")->setInitWords({Mode});
+    SpecRun R = runWithTelemetry(*S.M);
+    EXPECT_EQ(R.Misspecs > 0, Mode == 1) << "mode " << Mode;
+    EXPECT_GT(R.TaskRetired, 0u) << "mode " << Mode;
+    EXPECT_EQ(R.EngineRetired, R.MainRetired + R.TaskRetired)
+        << "mode " << Mode;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Write-journal edge cases: accesses that straddle a journal page, reads
+// that mix journaled and memory bytes, and rollback leaving memory as is.
+// ---------------------------------------------------------------------------
+
+/// One speculative dispatch over a host buffer. `target` points into the
+/// buffer; `mode` picks the task body. The recovery clone does nothing,
+/// so after a rollback memory must hold exactly what it held before.
+const char *JournalSrc = R"(
+  extern void noelle_dispatch_spec(void (*task)(char *, int, int),
+                                   void (*seq)(char *, int, int),
+                                   char *env, int n, int grain);
+  extern int noelle_spec_load_i64(char *p);
+  extern void noelle_spec_store_i64(char *p, int v);
+  extern void noelle_spec_store_i32(char *p, int v);
+  char *target;
+  int mode;
+  int tasks;
+  void task(char *p, int t, int n) {
+    if (mode == 0) {
+      noelle_spec_store_i64(p, 72623859790382856);
+      noelle_spec_store_i64(p + 16, noelle_spec_load_i64(p));
+    }
+    if (mode == 1) {
+      noelle_spec_store_i32(p, 287454020);
+      noelle_spec_store_i64(p + 32, noelle_spec_load_i64(p));
+    }
+    if (mode == 2) {
+      int i = 0;
+      while (i < 1500) {
+        noelle_spec_store_i64(p + i * 8 + t, i * 7 + t);
+        i = i + 1;
+      }
+    }
+    return;
+  }
+  void seq(char *p, int t, int n) { return; }
+  int main() {
+    noelle_dispatch_spec(task, seq, target, tasks, 1);
+    return 0;
+  }
+)";
+
+/// A host buffer of three 64 KiB blocks filled with a byte pattern. The
+/// middle block's start is 64 KiB-aligned, so it is a page boundary for
+/// any power-of-two journal page up to 64 KiB.
+struct JournalBuffer {
+  static constexpr uint64_t Block = 64 * 1024;
+  std::vector<uint8_t> Storage = std::vector<uint8_t>(4 * Block);
+  uint8_t *Base;
+
+  JournalBuffer() {
+    uint64_t Raw = reinterpret_cast<uint64_t>(Storage.data());
+    Base = reinterpret_cast<uint8_t *>((Raw + Block - 1) & ~(Block - 1));
+    for (uint64_t I = 0; I < 3 * Block; ++I)
+      Base[I] = static_cast<uint8_t>(I * 37 + 11);
+  }
+  uint8_t *boundary() const { return Base + Block; }
+  std::vector<uint8_t> bytes() const {
+    return std::vector<uint8_t>(Base, Base + 3 * Block);
+  }
+};
+
+SpecRun runJournalKernel(uint8_t *Target, int64_t Mode, int64_t Tasks) {
+  Context Ctx;
+  auto M = minic::compileMiniCOrDie(Ctx, JournalSrc);
+  M->getGlobal("target")->setInitWords(
+      {static_cast<int64_t>(reinterpret_cast<uint64_t>(Target))});
+  M->getGlobal("mode")->setInitWords({Mode});
+  M->getGlobal("tasks")->setInitWords({Tasks});
+  return runWithTelemetry(*M);
+}
+
+uint64_t readU64(const uint8_t *P) {
+  uint64_t V;
+  std::memcpy(&V, P, 8);
+  return V;
+}
+
+TEST(SpecJournalTest, StraddlingStoreReadsBackAndCommits) {
+  JournalBuffer Buf;
+  uint8_t *P = Buf.boundary() - 4; // bytes [-4, +4) around the boundary
+  std::vector<uint8_t> Before = Buf.bytes();
+  SpecRun R = runJournalKernel(P, /*Mode=*/0, /*Tasks=*/1);
+  EXPECT_EQ(R.Commits, 1u);
+  EXPECT_EQ(R.Misspecs, 0u);
+  const uint64_t Stored = 72623859790382856ull; // 0x0102030405060708
+  EXPECT_EQ(readU64(P), Stored);
+  // The load in the same task saw the journaled bytes on both pages.
+  EXPECT_EQ(readU64(P + 16), Stored);
+  // Commit wrote exactly the 16 journaled bytes.
+  std::vector<uint8_t> After = Buf.bytes();
+  const uint64_t Off = static_cast<uint64_t>(P - Buf.Base);
+  for (uint64_t I = 0; I < After.size(); ++I) {
+    if (I < Off || I >= Off + 24 || (I >= Off + 8 && I < Off + 16)) {
+      ASSERT_EQ(After[I], Before[I]) << "byte " << I;
+    }
+  }
+}
+
+TEST(SpecJournalTest, WideLoadMixesJournalAndMemoryBytes) {
+  JournalBuffer Buf;
+  // The i32 store stays on the first page; the i64 load that follows
+  // covers it plus two memory bytes there and two on the next page.
+  uint8_t *P = Buf.boundary() - 6;
+  std::vector<uint8_t> Before = Buf.bytes();
+  const uint64_t Off = static_cast<uint64_t>(P - Buf.Base);
+  SpecRun R = runJournalKernel(P, /*Mode=*/1, /*Tasks=*/1);
+  EXPECT_EQ(R.Commits, 1u);
+  uint8_t Expect[8] = {0x44, 0x33, 0x22, 0x11, Before[Off + 4],
+                       Before[Off + 5], Before[Off + 6], Before[Off + 7]};
+  EXPECT_EQ(readU64(P + 32), readU64(Expect));
+  EXPECT_EQ(readU64(P), readU64(Expect));
+  EXPECT_EQ(std::vector<uint8_t>(P + 8, P + 32),
+            std::vector<uint8_t>(Before.begin() + Off + 8,
+                                 Before.begin() + Off + 32));
+}
+
+TEST(SpecJournalTest, RollbackLeavesMemoryByteIdentical) {
+  JournalBuffer Buf;
+  // Two tasks write overlapping bytes over three pages: validation must
+  // fail, and nothing either task journaled may reach memory.
+  uint8_t *P = Buf.boundary() - 5000;
+  std::vector<uint8_t> Before = Buf.bytes();
+  SpecRun R = runJournalKernel(P, /*Mode=*/2, /*Tasks=*/2);
+  EXPECT_EQ(R.Commits, 0u);
+  EXPECT_EQ(R.Misspecs, 1u);
+  EXPECT_TRUE(Buf.bytes() == Before);
 }
 
 // ---------------------------------------------------------------------------

@@ -334,13 +334,14 @@ int main(int Argc, char **Argv) {
     std::fputs(E.getOutput().c_str(), stdout);
     std::printf("main() = %lld\n", (long long)R);
 
-    // Close the loop: annotate the plan with the speedups the run
-    // actually delivered (PlanEntry::MeasuredMilli), and refresh the
-    // embedded copy so a saved plan records both numbers.
+    // Close the loop: annotate the plan with the speedups the Figure-5
+    // model computes from this run's DispatchRecords
+    // (PlanEntry::MeasuredMilli), and refresh the embedded copy so a
+    // saved plan records both numbers.
     planner::FeedbackResult FB = planner::applyMeasuredSpeedups(
         Plan, *M, E.getDispatchRecords());
     if (FB.EntriesMeasured > 0) {
-      std::printf("noelle-parallelize: measured %u plan entr%s"
+      std::printf("noelle-parallelize: modeled %u plan entr%s"
                   " (%u below 0.8x of estimate)\n",
                   FB.EntriesMeasured,
                   FB.EntriesMeasured == 1 ? "y" : "ies", FB.Shortfalls);

@@ -234,9 +234,11 @@ int main(int Argc, char **Argv) {
       std::printf("  ss_wait stalls:       %llu (%llu ns total)\n",
                   (unsigned long long)H->Count,
                   (unsigned long long)H->Sum);
+    // MeasuredMilli is the Figure-5 model over this run's
+    // DispatchRecords, not a wall-clock ratio.
     for (const auto &En : Plan.Entries)
       if (En.MeasuredMilli != 0)
-        std::printf("  %s loop@%llu:  est %.2fx, measured %.2fx\n",
+        std::printf("  %s loop@%llu:  est %.2fx, modeled %.2fx\n",
                     En.FunctionName.c_str(),
                     (unsigned long long)En.HeaderInstID,
                     static_cast<double>(En.SpeedupMilli) / 1000.0,
